@@ -187,6 +187,10 @@ impl Default for FingerprintBuilder {
 }
 
 /// Content fingerprint of a data matrix (shape + every value's bit pattern).
+///
+/// The value must depend on the matrix content and nothing else: cache
+/// keys are built from it, and persisted cost-profile and warm-up state
+/// carry those keys across processes.  A golden test pins it.
 pub fn fingerprint_matrix(matrix: &DataMatrix) -> Fingerprint {
     let mut h = FingerprintBuilder::new();
     h.write_u64(matrix.n_rows() as u64);
@@ -2717,12 +2721,17 @@ mod tests {
 
     #[test]
     fn admission_cost_policy_rejects_cheap_bulky_artifacts() {
-        // A kind with a near-zero recompute EWMA (an instant 8 MiB alloc,
-        // anchored by a preloaded zero-cost prior so scheduling noise in a
-        // loaded test run cannot inflate the estimate past the threshold)
-        // must never be admitted under `cost` — the store-cost threshold
-        // for 8 MiB dwarfs its compute time — while an expensive resident
-        // of another kind stays untouched and the caller's Arc is valid.
+        // A kind with a near-zero recompute EWMA (the closure hands over a
+        // pre-built 8 MiB buffer, anchored by a preloaded zero-cost prior
+        // so scheduling noise in a loaded test run cannot inflate the
+        // estimate past the threshold) must never be admitted under
+        // `cost` — the store-cost threshold for 8 MiB dwarfs its compute
+        // time — while an expensive resident of another kind stays
+        // untouched and the caller's Arc is valid.  The buffers are built
+        // outside the measured compute: how long allocating and zeroing
+        // 8 MiB takes depends on the allocator's state (a recycled heap
+        // chunk is memset, a fresh mapping is not) and can cross the
+        // threshold.
         const CHEAP_LEN: usize = 8 << 20;
         let cache = ArtifactCache::with_config(
             CacheConfig::default()
@@ -2747,10 +2756,12 @@ mod tests {
             "an artifact whose recompute cost clears the threshold is admitted"
         );
         let calls = AtomicUsize::new(0);
+        let mut prebuilt: Vec<Vec<u8>> = (0..3).map(|_| vec![0; CHEAP_LEN]).collect();
         for attempt in 0..3 {
+            let buffer = prebuilt.pop().expect("one buffer per attempt");
             let v: Arc<Vec<u8>> = cache.get_or_compute(custom(1), || {
                 calls.fetch_add(1, Ordering::SeqCst);
-                vec![0; CHEAP_LEN]
+                buffer
             });
             assert_eq!(v.len(), CHEAP_LEN, "the caller's Arc is always valid");
             assert_eq!(
@@ -3015,6 +3026,27 @@ mod tests {
         // shape participates in the fingerprint
         let flat = DataMatrix::from_flat(vec![1.0, 2.0, 3.0, 4.0], 1, 4);
         assert_ne!(fingerprint_matrix(&a), fingerprint_matrix(&flat));
+    }
+
+    #[test]
+    fn fingerprint_matrix_matches_the_bytewise_fnv_golden_value() {
+        // Cache keys, persisted cost profiles and warm-up state are keyed
+        // by these values: any faster or memoised fingerprint must
+        // reproduce the byte-wise FNV-1a over (rows, cols, value bits)
+        // exactly.
+        let m = DataMatrix::from_rows(&[vec![1.0, -2.5, 0.0], vec![3.25, 1e-3, -0.0]]);
+        assert_eq!(fingerprint_matrix(&m), 0x3048_FE38_B182_588D);
+        let rows: Vec<Vec<f64>> = (0..5)
+            .map(|i| (0..4).map(|j| 0.5 * i as f64 - j as f64).collect())
+            .collect();
+        assert_eq!(
+            fingerprint_matrix(&DataMatrix::from_rows(&rows)),
+            0xCD51_EE4A_1112_CA70
+        );
+        assert_eq!(
+            fingerprint_matrix(&DataMatrix::zeros(0, 0)),
+            0x8820_1FB9_60FF_6465
+        );
     }
 
     #[test]

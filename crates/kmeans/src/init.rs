@@ -109,16 +109,17 @@ pub fn neighborhood_centroids(
     k: usize,
     rng: &mut SeededRng,
 ) -> Vec<Vec<f64>> {
-    centroids_from_candidates(data, neighborhood_candidates(data, constraints), k, rng)
+    centroids_from_candidates(data, &neighborhood_candidates(data, constraints), k, rng)
 }
 
 /// Selects `k` centroids from precomputed neighbourhood candidates (see
 /// [`neighborhood_candidates`]); bit-identical to [`neighborhood_centroids`]
-/// on the same inputs.
+/// on the same inputs.  Only the chosen candidates are copied, so a shared
+/// (cached) candidate list serves every fit without being cloned whole.
 #[allow(clippy::needless_range_loop)] // dist2[i] updates in lock-step with data.row(i)
 pub fn centroids_from_candidates(
     data: &DataMatrix,
-    mut candidates: Vec<(Vec<f64>, usize)>,
+    candidates: &[(Vec<f64>, usize)],
     k: usize,
     rng: &mut SeededRng,
 ) -> Vec<Vec<f64>> {
@@ -132,7 +133,7 @@ pub fn centroids_from_candidates(
     }
 
     if candidates.len() <= k {
-        let mut centroids: Vec<Vec<f64>> = candidates.into_iter().map(|(c, _)| c).collect();
+        let mut centroids: Vec<Vec<f64>> = candidates.iter().map(|(c, _)| c.clone()).collect();
         // Fill the rest with k-means++ draws conditioned on existing centroids.
         let n = data.n_rows();
         let mut dist2: Vec<f64> = (0..n)
@@ -170,27 +171,33 @@ pub fn centroids_from_candidates(
         return centroids;
     }
 
-    // More neighbourhoods than clusters: weighted farthest-first traversal.
-    // Start from the largest neighbourhood.
-    candidates.sort_by_key(|c| std::cmp::Reverse(c.1));
-    let mut chosen: Vec<(Vec<f64>, usize)> = vec![candidates.remove(0)];
+    // More neighbourhoods than clusters: weighted farthest-first traversal
+    // over candidate indices.  Start from the largest neighbourhood (the
+    // sort is stable, so equal sizes keep their input order).
+    let mut remaining: Vec<usize> = (0..candidates.len()).collect();
+    remaining.sort_by_key(|&idx| std::cmp::Reverse(candidates[idx].1));
+    let mut chosen: Vec<usize> = vec![remaining.remove(0)];
     while chosen.len() < k {
         // pick the candidate maximising (min distance to chosen) * size
-        let (best_idx, _) = candidates
+        let (best_pos, _) = remaining
             .iter()
             .enumerate()
-            .map(|(idx, (c, size))| {
+            .map(|(pos, &idx)| {
+                let (c, size) = &candidates[idx];
                 let min_d = chosen
                     .iter()
-                    .map(|(cc, _)| sq_dist(c, cc))
+                    .map(|&cc| sq_dist(c, &candidates[cc].0))
                     .fold(f64::INFINITY, f64::min);
-                (idx, min_d * *size as f64)
+                (pos, min_d * *size as f64)
             })
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"))
             .expect("candidates non-empty");
-        chosen.push(candidates.remove(best_idx));
+        chosen.push(remaining.remove(best_pos));
     }
-    chosen.into_iter().map(|(c, _)| c).collect()
+    chosen
+        .into_iter()
+        .map(|idx| candidates[idx].0.clone())
+        .collect()
 }
 
 #[cfg(test)]

@@ -28,6 +28,27 @@
 //! with `f_ML(i,j) = ‖x_i − x_j‖²_A` and
 //! `f_CL(i,j) = d_max²_A − ‖x_i − x_j‖²_A` (violating a cannot-link between
 //! close objects is penalised more).
+//!
+//! ## Per-iteration invariants
+//!
+//! CVCP runs one fit per (parameter × fold × trial) cell, so the fit is the
+//! hot kernel of every MPCKMeans selection.  The metrics `A_h` change only
+//! in the M-step, which makes several terms of the E-step and the objective
+//! constant within an iteration; the fit computes each of them once where
+//! it becomes valid instead of once per use:
+//!
+//! * `log det A_h` and the cannot-link offset `d_max²_{A_h}` — once per
+//!   cluster per iteration (`ClusterTerms`), not once per (object,
+//!   cluster) pair;
+//! * a must-link neighbour's `f_ML^{A_{l_j}}` term — once per (object,
+//!   neighbour), not once per candidate cluster;
+//! * the visiting order, the partial assignment and the metric scatter —
+//!   buffers allocated once per fit and reused by every iteration.
+//!
+//! Every floating-point expression keeps its operands and operation order,
+//! so the result is bit-identical to recomputing each term in place; a
+//! differential test pins the fit to that literal formulation (the
+//! test-only `reference` module).
 
 use crate::init::{centroids_from_candidates, neighborhood_candidates};
 use crate::objective::{recompute_centroids, weighted_sq_dist};
@@ -36,6 +57,9 @@ use cvcp_constraints::{Constraint, ConstraintKind, ConstraintSet};
 use cvcp_data::rng::SeededRng;
 use cvcp_data::{DataMatrix, Partition};
 use cvcp_engine::ArtifactSize;
+
+#[cfg(test)]
+mod reference;
 
 /// The `k`-invariant seeding structures of an MPCKMeans run: the (optionally
 /// transitively closed) working constraint set and the must-link
@@ -221,60 +245,60 @@ impl MpckMeans {
             }
         }
 
-        let mut centroids =
-            centroids_from_candidates(data, seeding.candidates.clone(), self.k, rng);
+        let mut centroids = centroids_from_candidates(data, &seeding.candidates, self.k, rng);
         let mut metrics: Vec<Vec<f64>> = vec![vec![1.0; dims]; self.k];
         let mut assignment: Vec<usize> = vec![0; n];
         let mut objective = f64::INFINITY;
         let mut iterations = 0;
 
-        // Maximum squared pairwise distance per metric is expensive to track
-        // exactly; we use the squared diameter of the data bounding box under
-        // the current metric as the f_CL offset, which preserves the "close
-        // violated cannot-links cost more" behaviour.
         let (mins, maxs) = data.column_min_max();
-        let diameter_sq = |weights: &[f64]| -> f64 {
-            mins.iter()
-                .zip(&maxs)
-                .zip(weights)
-                .map(|((lo, hi), w)| {
-                    let d = hi - lo;
-                    w * d * d
-                })
-                .sum()
-        };
+        let mut terms = ClusterTerms::default();
+        terms.refresh(&metrics, &mins, &maxs);
+        let mut buffers = FitBuffers::new(n, self.k, dims);
 
         for it in 0..self.max_iter {
             iterations = it + 1;
 
             // ---------------- E-step: greedy ordered assignment ----------------
-            let mut order: Vec<usize> = (0..n).collect();
-            rng.shuffle(&mut order);
-            let mut assigned: Vec<Option<usize>> = vec![None; n];
-            for &i in &order {
+            let FitBuffers {
+                order,
+                assigned,
+                next,
+                ml_there,
+                ..
+            } = &mut buffers;
+            for (slot, i) in order.iter_mut().zip(0..) {
+                *slot = i;
+            }
+            rng.shuffle(order);
+            assigned.fill(None);
+            for &i in order.iter() {
                 let row = data.row(i);
+                // f_there depends on the neighbour's cluster, not on the
+                // candidate cluster: compute it once per neighbour.
+                ml_there.clear();
+                for &j in &ml_of[i] {
+                    if let Some(cj) = assigned[j] {
+                        ml_there.push((j, cj, weighted_sq_dist(row, data.row(j), &metrics[cj])));
+                    }
+                }
                 let mut best_c = 0usize;
                 let mut best_cost = f64::INFINITY;
                 for c in 0..self.k {
                     let w = &metrics[c];
-                    let mut cost = weighted_sq_dist(row, &centroids[c], w) - log_det(w);
+                    let mut cost = weighted_sq_dist(row, &centroids[c], w) - terms.log_det[c];
                     // must-link violations w.r.t. already-assigned neighbours
-                    for &j in &ml_of[i] {
-                        if let Some(cj) = assigned[j] {
-                            if cj != c {
-                                let f_here = weighted_sq_dist(row, data.row(j), w);
-                                let f_there = weighted_sq_dist(row, data.row(j), &metrics[cj]);
-                                cost += self.must_link_weight * 0.5 * (f_here + f_there);
-                            }
+                    for &(j, cj, f_there) in ml_there.iter() {
+                        if cj != c {
+                            let f_here = weighted_sq_dist(row, data.row(j), w);
+                            cost += self.must_link_weight * 0.5 * (f_here + f_there);
                         }
                     }
                     // cannot-link violations
                     for &j in &cl_of[i] {
-                        if let Some(cj) = assigned[j] {
-                            if cj == c {
-                                let f = diameter_sq(w) - weighted_sq_dist(row, data.row(j), w);
-                                cost += self.cannot_link_weight * f.max(0.0);
-                            }
+                        if assigned[j] == Some(c) {
+                            let f = terms.diameter_sq[c] - weighted_sq_dist(row, data.row(j), w);
+                            cost += self.cannot_link_weight * f.max(0.0);
                         }
                     }
                     if cost < best_cost {
@@ -284,60 +308,62 @@ impl MpckMeans {
                 }
                 assigned[i] = Some(best_c);
             }
-            let new_assignment: Vec<usize> =
-                assigned.into_iter().map(|a| a.expect("assigned")).collect();
+            for (slot, a) in next.iter_mut().zip(assigned.iter()) {
+                *slot = a.expect("assigned");
+            }
 
             // Re-seed empty clusters with the point farthest from its centroid.
-            let mut final_assignment = new_assignment;
             for c in 0..self.k {
-                if !final_assignment.contains(&c) {
+                if !next.contains(&c) {
                     let (far, _) = (0..n)
                         .map(|i| {
                             (
                                 i,
                                 weighted_sq_dist(
                                     data.row(i),
-                                    &centroids[final_assignment[i]],
-                                    &metrics[final_assignment[i]],
+                                    &centroids[next[i]],
+                                    &metrics[next[i]],
                                 ),
                             )
                         })
                         .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
                         .expect("non-empty data");
-                    final_assignment[far] = c;
+                    next[far] = c;
                 }
             }
 
             // ---------------- M-step: centroids ----------------
-            recompute_centroids(data, &final_assignment, &mut centroids);
+            recompute_centroids(data, &buffers.next, &mut centroids);
 
             // ---------------- M-step: metrics ----------------
             if self.learn_metric {
                 self.update_metrics(
                     data,
-                    &final_assignment,
+                    &buffers.next,
                     &centroids,
                     &ml_pairs,
                     &cl_pairs,
                     &mins,
                     &maxs,
+                    &mut buffers.scatter,
                     &mut metrics,
                 );
+                terms.refresh(&metrics, &mins, &maxs);
             }
 
             // ---------------- Objective & convergence ----------------
             let new_objective = self.objective(
                 data,
-                &final_assignment,
+                &buffers.next,
                 &centroids,
                 &metrics,
+                &terms,
                 &ml_pairs,
                 &cl_pairs,
-                &diameter_sq,
             );
-            let converged = final_assignment == assignment
+            let converged = buffers.next == assignment
                 || (objective - new_objective).abs() <= 1e-9 * objective.abs().max(1.0);
-            assignment = final_assignment;
+            std::mem::swap(&mut assignment, &mut buffers.next);
             objective = new_objective;
             if converged && it > 0 {
                 break;
@@ -363,7 +389,8 @@ impl MpckMeans {
         }
     }
 
-    /// Re-estimates the per-cluster diagonal metric weights.
+    /// Re-estimates the per-cluster diagonal metric weights, accumulating
+    /// into the fit's reused `scatter` buffers.
     ///
     /// For cluster `h` and dimension `d`:
     /// `a_{h,d} = N_h / ( Σ_{x∈h}(x_d−μ_d)² + ½ w Σ_{violated ML touching h}(x_i,d−x_j,d)²
@@ -380,12 +407,19 @@ impl MpckMeans {
         cl_pairs: &[(usize, usize)],
         mins: &[f64],
         maxs: &[f64],
+        scatter: &mut Scatter,
         metrics: &mut [Vec<f64>],
     ) {
         let dims = data.n_cols();
         let k = centroids.len();
-        let mut scatter = vec![vec![0.0f64; dims]; k];
-        let mut counts = vec![0usize; k];
+        let Scatter {
+            sums: scatter,
+            counts,
+        } = scatter;
+        for row in scatter.iter_mut() {
+            row.fill(0.0);
+        }
+        counts.fill(0);
 
         for (i, &c) in assignment.iter().enumerate() {
             counts[c] += 1;
@@ -399,8 +433,9 @@ impl MpckMeans {
         for &(a, b) in ml_pairs {
             let (ca, cb) = (assignment[a], assignment[b]);
             if ca != cb {
+                let (row_a, row_b) = (data.row(a), data.row(b));
                 for d in 0..dims {
-                    let diff = data.get(a, d) - data.get(b, d);
+                    let diff = row_a[d] - row_b[d];
                     let v = 0.5 * self.must_link_weight * diff * diff;
                     scatter[ca][d] += v;
                     scatter[cb][d] += v;
@@ -411,8 +446,9 @@ impl MpckMeans {
         for &(a, b) in cl_pairs {
             let (ca, cb) = (assignment[a], assignment[b]);
             if ca == cb {
+                let (row_a, row_b) = (data.row(a), data.row(b));
                 for d in 0..dims {
-                    let diff = data.get(a, d) - data.get(b, d);
+                    let diff = row_a[d] - row_b[d];
                     let range = maxs[d] - mins[d];
                     let v = self.cannot_link_weight * (range * range - diff * diff).max(0.0);
                     scatter[ca][d] += v;
@@ -431,21 +467,22 @@ impl MpckMeans {
         }
     }
 
-    /// Evaluates the full MPCKMeans objective for a given state.
+    /// Evaluates the full MPCKMeans objective for a given state, reading
+    /// each cluster's log-determinant and diameter from `terms`.
     #[allow(clippy::too_many_arguments)]
-    fn objective<F: Fn(&[f64]) -> f64>(
+    fn objective(
         &self,
         data: &DataMatrix,
         assignment: &[usize],
         centroids: &[Vec<f64>],
         metrics: &[Vec<f64>],
+        terms: &ClusterTerms,
         ml_pairs: &[(usize, usize)],
         cl_pairs: &[(usize, usize)],
-        diameter_sq: &F,
     ) -> f64 {
         let mut obj = 0.0;
         for (i, &c) in assignment.iter().enumerate() {
-            obj += weighted_sq_dist(data.row(i), &centroids[c], &metrics[c]) - log_det(&metrics[c]);
+            obj += weighted_sq_dist(data.row(i), &centroids[c], &metrics[c]) - terms.log_det[c];
         }
         for &(a, b) in ml_pairs {
             let (ca, cb) = (assignment[a], assignment[b]);
@@ -459,13 +496,89 @@ impl MpckMeans {
         for &(a, b) in cl_pairs {
             let (ca, cb) = (assignment[a], assignment[b]);
             if ca == cb {
-                let f = diameter_sq(&metrics[ca])
+                let f = terms.diameter_sq[ca]
                     - weighted_sq_dist(data.row(a), data.row(b), &metrics[ca]);
                 obj += self.cannot_link_weight * f.max(0.0);
             }
         }
         obj
     }
+}
+
+/// The per-cluster terms of the objective that depend on the cluster's
+/// metric only.  Metrics change in the M-step alone, so these are
+/// refreshed once per iteration and read by every (point, cluster) pair of
+/// the next E-step and by the objective.
+#[derive(Debug, Default)]
+struct ClusterTerms {
+    /// `log det A_h` per cluster.
+    log_det: Vec<f64>,
+    /// The cannot-link offset `d_max²_{A_h}` per cluster.
+    diameter_sq: Vec<f64>,
+}
+
+impl ClusterTerms {
+    fn refresh(&mut self, metrics: &[Vec<f64>], mins: &[f64], maxs: &[f64]) {
+        self.log_det.clear();
+        self.log_det.extend(metrics.iter().map(|w| log_det(w)));
+        self.diameter_sq.clear();
+        self.diameter_sq
+            .extend(metrics.iter().map(|w| diameter_sq(w, mins, maxs)));
+    }
+}
+
+/// Working buffers of one fit, allocated once and reused by every
+/// iteration.
+struct FitBuffers {
+    /// The E-step's random visiting order.
+    order: Vec<usize>,
+    /// Clusters of the objects already visited in the current E-step.
+    assigned: Vec<Option<usize>>,
+    /// The assignment the current iteration produces.
+    next: Vec<usize>,
+    /// `(neighbour, its cluster, f_there)` of the visited object's
+    /// already-assigned must-link neighbours.
+    ml_there: Vec<(usize, usize, f64)>,
+    /// The metric update's accumulators.
+    scatter: Scatter,
+}
+
+/// Accumulators of the metric update, reset by every update.
+struct Scatter {
+    /// Per-cluster, per-dimension scatter.
+    sums: Vec<Vec<f64>>,
+    /// Per-cluster object counts.
+    counts: Vec<usize>,
+}
+
+impl FitBuffers {
+    fn new(n: usize, k: usize, dims: usize) -> Self {
+        Self {
+            order: vec![0; n],
+            assigned: vec![None; n],
+            next: vec![0; n],
+            ml_there: Vec::new(),
+            scatter: Scatter {
+                sums: vec![vec![0.0; dims]; k],
+                counts: vec![0; k],
+            },
+        }
+    }
+}
+
+/// The cannot-link offset `f_CL` is measured from.  The maximum squared
+/// pairwise distance per metric is expensive to track exactly; the squared
+/// diameter of the data bounding box under the metric preserves the "close
+/// violated cannot-links cost more" behaviour.
+fn diameter_sq(weights: &[f64], mins: &[f64], maxs: &[f64]) -> f64 {
+    mins.iter()
+        .zip(maxs)
+        .zip(weights)
+        .map(|((lo, hi), w)| {
+            let d = hi - lo;
+            w * d * d
+        })
+        .sum()
 }
 
 /// Sum of log weights (log-determinant of the diagonal metric).
@@ -479,6 +592,72 @@ mod tests {
     use cvcp_constraints::generate::constraint_pool;
     use cvcp_data::synthetic::{gaussian_mixture, separated_blobs, ClusterSpec};
     use cvcp_metrics::{adjusted_rand_index, constraint_fmeasure};
+    use proptest::prelude::*;
+
+    /// Asserts two fits are identical bit for bit in every output.
+    fn assert_bit_identical(fast: &MpckMeansResult, reference: &MpckMeansResult) {
+        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            rows.iter()
+                .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(fast.partition, reference.partition);
+        assert_eq!(bits(&fast.centroids), bits(&reference.centroids));
+        assert_eq!(bits(&fast.metrics), bits(&reference.metrics));
+        assert_eq!(fast.objective.to_bits(), reference.objective.to_bits());
+        assert_eq!(fast.iterations, reference.iterations);
+        assert_eq!(fast.violations, reference.violations);
+    }
+
+    proptest! {
+        /// The hoisted fit (per-cluster terms once per iteration, reused
+        /// buffers, borrowed seeding candidates) equals the literal
+        /// reference bit for bit on random data, cluster counts, must-link
+        /// and cannot-link sets, weights, closure and metric-learning
+        /// settings.
+        #[test]
+        fn fit_seeded_matches_the_reference_bit_for_bit(
+            (n, dims, k_draw) in (4usize..40, 1usize..5, 0usize..64),
+            (n_ml, n_cl) in (0usize..40, 0usize..40),
+            (flags, seed) in (0usize..16, 0u64..1_000_000),
+        ) {
+            let mut rng = SeededRng::new(seed);
+            // A few offset groups, so the data has cluster structure.
+            let groups = 1 + rng.index(4);
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    let offset = 4.0 * (i % groups) as f64;
+                    (0..dims).map(|_| offset + rng.uniform_in(-2.0, 2.0)).collect()
+                })
+                .collect();
+            let data = DataMatrix::from_rows(&rows);
+            let mut constraints = ConstraintSet::new(n);
+            for kind in [ConstraintKind::MustLink, ConstraintKind::CannotLink] {
+                let count = if kind == ConstraintKind::MustLink { n_ml } else { n_cl };
+                for _ in 0..count {
+                    let a = rng.index(n);
+                    let b = rng.index(n);
+                    if a != b {
+                        constraints.add(Constraint::new(a, b, kind));
+                    }
+                }
+            }
+            let k = 1 + k_draw % n.min(6);
+            let weights = [0.5, 1.0, 2.0];
+            let mut config = MpckMeans::new(k)
+                .with_metric_learning(flags & 1 == 1)
+                .with_weights(weights[rng.index(3)], weights[rng.index(3)]);
+            config.use_closure = flags & 2 == 2;
+            if flags & 4 == 4 {
+                config = config.with_max_iter(1 + rng.index(4));
+            }
+            let seeding = MpckSeeding::compute(&data, &constraints, config.use_closure);
+            let fast = config.fit_seeded(&data, &seeding, &mut SeededRng::new(seed ^ 0x5EED));
+            let reference =
+                config.fit_reference(&data, &seeding, &mut SeededRng::new(seed ^ 0x5EED));
+            assert_bit_identical(&fast, &reference);
+        }
+    }
 
     #[test]
     fn recovers_separated_blobs_without_constraints() {
