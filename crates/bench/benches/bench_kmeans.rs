@@ -1,9 +1,10 @@
 //! Benchmarks of the k-means family: plain Lloyd, PCKMeans and MPCKMeans on
-//! the ALOI-like fixture (125 × 144, 5 classes).
+//! the ALOI-like fixture (125 × 144, 5 classes), including MPCKMeans fits on
+//! a prebuilt seeding.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cvcp_bench::{aloi_dataset, pool_for, rng};
-use cvcp_kmeans::{KMeans, MpckMeans, PckMeans};
+use cvcp_kmeans::{KMeans, MpckMeans, MpckSeeding, PckMeans};
 
 fn bench_kmeans_family(c: &mut Criterion) {
     let ds = aloi_dataset();
@@ -30,6 +31,19 @@ fn bench_kmeans_family(c: &mut Criterion) {
         });
     }
     sweep.finish();
+
+    // The fit alone: the seeding (closure and neighbourhood candidates) is
+    // built once outside the timed loop, as the engine's cache shares it
+    // across every k of a selection.
+    let seeding = MpckSeeding::compute(ds.matrix(), &pool, true);
+    let mut seeded = c.benchmark_group("kmeans/mpck_fit_seeded_sweep");
+    seeded.sample_size(15);
+    for k in [2usize, 5, 10] {
+        seeded.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
+            b.iter(|| MpckMeans::new(k).fit_seeded(ds.matrix(), &seeding, &mut rng()))
+        });
+    }
+    seeded.finish();
 }
 
 criterion_group!(benches, bench_kmeans_family);

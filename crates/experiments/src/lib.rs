@@ -292,23 +292,65 @@ pub fn cost_profile_from_json(doc: &Json) -> Option<CostProfile> {
 }
 
 /// Loads a persisted cost profile; `None` when the file is missing or
-/// unparsable (a cold start simply begins with an empty profile).
+/// unparsable (a cold start simply begins with an empty profile).  A file
+/// that exists but cannot be read or parsed is reported on stderr, so a
+/// discarded profile is never silent.
 pub fn load_cost_profile(path: &Path) -> Option<CostProfile> {
-    let text = std::fs::read_to_string(path).ok()?;
-    cost_profile_from_json(&Json::parse(&text).ok()?)
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+        Err(e) => {
+            eprintln!(
+                "warning: discarding the cache cost profile at {}: {e}",
+                path.display()
+            );
+            return None;
+        }
+    };
+    let profile = Json::parse(&text)
+        .ok()
+        .and_then(|doc| cost_profile_from_json(&doc));
+    if profile.is_none() {
+        eprintln!(
+            "warning: discarding the cache cost profile at {}: not a valid profile document",
+            path.display()
+        );
+    }
+    profile
 }
 
 /// Dumps the cache's current cost profile to `path` (pretty JSON).
 /// Failures are reported on stderr but never fatal — profile persistence
 /// is an optimisation, not a correctness requirement.
+///
+/// The profile is written to a sibling temporary file, synced and renamed
+/// into place, so a crash mid-write leaves the previous profile intact
+/// instead of a truncated one.
 pub fn save_cost_profile(cache: &ArtifactCache, path: &Path) {
     let json = cost_profile_to_json(&cache.cost_profile()).pretty();
-    if let Err(e) = std::fs::write(path, json) {
+    let tmp = cost_profile_temp_path(path);
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            std::io::Write::write_all(&mut file, json.as_bytes())?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
         eprintln!(
             "warning: could not persist the cache cost profile to {}: {e}",
             path.display()
         );
     }
+}
+
+/// The temporary sibling [`save_cost_profile`] writes before renaming it
+/// over `path` (per process, so concurrent writers never share one).
+fn cost_profile_temp_path(path: &Path) -> PathBuf {
+    let name = path
+        .file_name()
+        .map_or_else(|| "cost_profile".into(), |n| n.to_string_lossy());
+    path.with_file_name(format!(".{name}.{}.tmp", std::process::id()))
 }
 
 /// The process-wide execution engine: every experiment binary multiplexes
@@ -933,6 +975,8 @@ mod tests {
         let cold = ArtifactCache::new();
         cold.preload_cost_profile(&loaded);
         assert_eq!(cold.cost_profile(), exported);
+        // The write went through a temporary sibling that was renamed away.
+        assert!(!cost_profile_temp_path(&path).exists());
         let _ = std::fs::remove_file(&path);
 
         // Missing files are a clean cold start.
@@ -942,6 +986,22 @@ mod tests {
             )),
             None
         );
+    }
+
+    #[test]
+    fn truncated_cost_profile_is_a_cold_start() {
+        let cache = ArtifactCache::new();
+        let _: std::sync::Arc<u64> =
+            cache.get_or_compute(cvcp_engine::ArtifactKey::Custom { domain: 6, key: 6 }, || 8);
+        let path = output_dir().join("cost_profile_truncated_test.json");
+        save_cost_profile(&cache, &path);
+        let text = std::fs::read_to_string(&path).expect("saved profile reads");
+        // A write cut short at any byte must load as `None`, never panic.
+        for cut in [0, 1, text.len() / 2, text.len() - 1] {
+            std::fs::write(&path, &text[..cut]).expect("truncate profile");
+            assert_eq!(load_cost_profile(&path), None, "cut at byte {cut}");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -42,22 +42,58 @@
 //!   cluster) pair;
 //! * a must-link neighbour's `f_ML^{A_{l_j}}` term — once per (object,
 //!   neighbour), not once per candidate cluster;
-//! * the visiting order, the partial assignment and the metric scatter —
-//!   buffers allocated once per fit and reused by every iteration.
+//! * the visiting order, the partial assignment, the metric scatter and
+//!   the centroid sums — buffers allocated once per fit and reused by every
+//!   iteration.
 //!
-//! Every floating-point expression keeps its operands and operation order,
-//! so the result is bit-identical to recomputing each term in place; a
-//! differential test pins the fit to that literal formulation (the
-//! test-only `reference` module).
+//! ## Bulk distances
+//!
+//! Almost all of the fit's arithmetic is weighted squared distances
+//! `‖x − y‖²_A`, each a serial chain of additions over the dimensions.
+//! The fit evaluates them in bulk, many independent chains at a time, with
+//! the kernels of the private `bulk` module:
+//!
+//! * **Centroid tile.**  After every M-step (and once before the first
+//!   E-step) the fit computes all `n × k` distances `‖x_i − μ_c‖²_{A_c}` in
+//!   one pass over a column-major copy of the data, the lanes running
+//!   across points.  The objective reads each object's entry of its own
+//!   cluster; the next E-step, whose centroids and metrics are the same,
+//!   reads the whole tile, and so does its re-seeding of empty clusters.
+//! * **Must-link distances.**  A visited object's already-assigned
+//!   must-link neighbour needs its distance under every cluster's metric
+//!   (`f_there` for the neighbour's cluster, `f_here` for the others).  The
+//!   fit computes them as one row, the lanes running across clusters of a
+//!   transposed copy of the metrics refreshed after each M-step.
+//! * **M-step.**  The centroid sums and the metric scatter accumulate into
+//!   flat `k × dims` buffers over zipped rows.
+//!
+//! Cannot-link distances (one per already-assigned neighbour, each under
+//! its own cluster's metric) and the objective's violated-pair distances
+//! stay one [`weighted_sq_dist`] at a time: their lanes would differ in
+//! both operands and metric, and gathering them costs what the lanes save.
+//!
+//! ## Bit identity
+//!
+//! Every floating-point expression keeps its operands and operation order:
+//! each bulk lane starts from `0.0` and adds `(w * d) * d` over the
+//! dimensions in order, exactly as [`weighted_sq_dist`] does, and
+//! interleaving independent sums cannot change any of them; the flat
+//! accumulators add the same values per (cluster, dimension) cell in the
+//! same object order.  The result is therefore bit-identical to
+//! recomputing each term in place.  A differential test pins the fit to
+//! that literal formulation (the test-only `reference` module), and
+//! another pins every bulk kernel to [`weighted_sq_dist`].
 
 use crate::init::{centroids_from_candidates, neighborhood_candidates};
-use crate::objective::{recompute_centroids, weighted_sq_dist};
+use crate::objective::{recompute_centroids_with, weighted_sq_dist};
+use bulk::{MetricPanels, PointPanels};
 use cvcp_constraints::closure::transitive_closure;
 use cvcp_constraints::{Constraint, ConstraintKind, ConstraintSet};
 use cvcp_data::rng::SeededRng;
 use cvcp_data::{DataMatrix, Partition};
 use cvcp_engine::ArtifactSize;
 
+mod bulk;
 #[cfg(test)]
 mod reference;
 
@@ -245,26 +281,47 @@ impl MpckMeans {
             }
         }
 
-        let mut centroids = centroids_from_candidates(data, &seeding.candidates, self.k, rng);
-        let mut metrics: Vec<Vec<f64>> = vec![vec![1.0; dims]; self.k];
+        let k = self.k;
+        let mut centroids = centroids_from_candidates(data, &seeding.candidates, k, rng);
+        let mut metrics: Vec<Vec<f64>> = vec![vec![1.0; dims]; k];
         let mut assignment: Vec<usize> = vec![0; n];
         let mut objective = f64::INFINITY;
         let mut iterations = 0;
 
         let (mins, maxs) = data.column_min_max();
+        let ranges_sq: Vec<f64> = mins
+            .iter()
+            .zip(&maxs)
+            .map(|(lo, hi)| {
+                let range = hi - lo;
+                range * range
+            })
+            .collect();
         let mut terms = ClusterTerms::default();
         terms.refresh(&metrics, &mins, &maxs);
-        let mut buffers = FitBuffers::new(n, self.k, dims);
+        let mut buffers = FitBuffers::new(data, k);
+        buffers
+            .metric_panels
+            .pack(metrics.iter().map(Vec::as_slice));
+        buffers
+            .point_panels
+            .centroid_tile(&centroids, &metrics, &mut buffers.tile);
 
         for it in 0..self.max_iter {
             iterations = it + 1;
 
             // ---------------- E-step: greedy ordered assignment ----------------
+            // `tile` holds every point-to-centroid distance under the
+            // current centroids and metrics.
             let FitBuffers {
+                metric_panels,
+                tile,
                 order,
                 assigned,
                 next,
-                ml_there,
+                ml,
+                ml_dists,
+                cl,
                 ..
             } = &mut buffers;
             for (slot, i) in order.iter_mut().zip(0..) {
@@ -274,30 +331,42 @@ impl MpckMeans {
             assigned.fill(None);
             for &i in order.iter() {
                 let row = data.row(i);
-                // f_there depends on the neighbour's cluster, not on the
-                // candidate cluster: compute it once per neighbour.
-                ml_there.clear();
+                // Each already-assigned must-link neighbour's distance under
+                // every cluster's metric, in one bulk pass: its own cluster's
+                // entry is f_there, the others are f_here.
+                ml.clear();
+                ml_dists.clear();
                 for &j in &ml_of[i] {
                     if let Some(cj) = assigned[j] {
-                        ml_there.push((j, cj, weighted_sq_dist(row, data.row(j), &metrics[cj])));
+                        ml.push(cj);
+                        let start = ml_dists.len();
+                        ml_dists.resize(start + k, 0.0);
+                        metric_panels.dists(row, data.row(j), &mut ml_dists[start..]);
                     }
                 }
+                // Each already-assigned cannot-link neighbour's distance under
+                // its cluster's metric.
+                cl.clear();
+                for &j in &cl_of[i] {
+                    if let Some(cj) = assigned[j] {
+                        cl.push((cj, weighted_sq_dist(row, data.row(j), &metrics[cj])));
+                    }
+                }
+
                 let mut best_c = 0usize;
                 let mut best_cost = f64::INFINITY;
-                for c in 0..self.k {
-                    let w = &metrics[c];
-                    let mut cost = weighted_sq_dist(row, &centroids[c], w) - terms.log_det[c];
+                for (c, &to_centroid) in tile[i * k..][..k].iter().enumerate() {
+                    let mut cost = to_centroid - terms.log_det[c];
                     // must-link violations w.r.t. already-assigned neighbours
-                    for &(j, cj, f_there) in ml_there.iter() {
+                    for (&cj, f) in ml.iter().zip(ml_dists.chunks_exact(k)) {
                         if cj != c {
-                            let f_here = weighted_sq_dist(row, data.row(j), w);
-                            cost += self.must_link_weight * 0.5 * (f_here + f_there);
+                            cost += self.must_link_weight * 0.5 * (f[c] + f[cj]);
                         }
                     }
                     // cannot-link violations
-                    for &j in &cl_of[i] {
-                        if assigned[j] == Some(c) {
-                            let f = terms.diameter_sq[c] - weighted_sq_dist(row, data.row(j), w);
+                    for &(cj, f) in cl.iter() {
+                        if cj == c {
+                            let f = terms.diameter_sq[c] - f;
                             cost += self.cannot_link_weight * f.max(0.0);
                         }
                     }
@@ -313,19 +382,10 @@ impl MpckMeans {
             }
 
             // Re-seed empty clusters with the point farthest from its centroid.
-            for c in 0..self.k {
+            for c in 0..k {
                 if !next.contains(&c) {
                     let (far, _) = (0..n)
-                        .map(|i| {
-                            (
-                                i,
-                                weighted_sq_dist(
-                                    data.row(i),
-                                    &centroids[next[i]],
-                                    &metrics[next[i]],
-                                ),
-                            )
-                        })
+                        .map(|i| (i, tile[i * k + next[i]]))
                         .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
                         .expect("non-empty data");
                     next[far] = c;
@@ -333,7 +393,8 @@ impl MpckMeans {
             }
 
             // ---------------- M-step: centroids ----------------
-            recompute_centroids(data, &buffers.next, &mut centroids);
+            let Scatter { sums, counts } = &mut buffers.scatter;
+            recompute_centroids_with(data, &buffers.next, &mut centroids, sums, counts);
 
             // ---------------- M-step: metrics ----------------
             if self.learn_metric {
@@ -343,19 +404,26 @@ impl MpckMeans {
                     &centroids,
                     &ml_pairs,
                     &cl_pairs,
-                    &mins,
-                    &maxs,
+                    &ranges_sq,
                     &mut buffers.scatter,
                     &mut metrics,
                 );
                 terms.refresh(&metrics, &mins, &maxs);
+                buffers
+                    .metric_panels
+                    .pack(metrics.iter().map(Vec::as_slice));
             }
+            // The tile of the new state: the objective reads its assigned
+            // entries, the next E-step all of them.
+            buffers
+                .point_panels
+                .centroid_tile(&centroids, &metrics, &mut buffers.tile);
 
             // ---------------- Objective & convergence ----------------
             let new_objective = self.objective(
                 data,
                 &buffers.next,
-                &centroids,
+                &buffers.tile,
                 &metrics,
                 &terms,
                 &ml_pairs,
@@ -389,15 +457,16 @@ impl MpckMeans {
         }
     }
 
-    /// Re-estimates the per-cluster diagonal metric weights, accumulating
-    /// into the fit's reused `scatter` buffers.
+    /// Re-estimates the per-cluster diagonal metric weights from the
+    /// assignment and its freshly recomputed centroids, accumulating into the
+    /// fit's reused `scatter` buffers (whose `counts` already hold the
+    /// cluster sizes).
     ///
     /// For cluster `h` and dimension `d`:
     /// `a_{h,d} = N_h / ( Σ_{x∈h}(x_d−μ_d)² + ½ w Σ_{violated ML touching h}(x_i,d−x_j,d)²
     ///                   + w̄ Σ_{violated CL inside h} (range_d² − (x_i,d−x_j,d)²) )`,
     /// clamped to `[min_weight, max_weight]`.
     #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::needless_range_loop)] // per-dimension scatter accumulation
     fn update_metrics(
         &self,
         data: &DataMatrix,
@@ -405,40 +474,37 @@ impl MpckMeans {
         centroids: &[Vec<f64>],
         ml_pairs: &[(usize, usize)],
         cl_pairs: &[(usize, usize)],
-        mins: &[f64],
-        maxs: &[f64],
+        ranges_sq: &[f64],
         scatter: &mut Scatter,
         metrics: &mut [Vec<f64>],
     ) {
         let dims = data.n_cols();
-        let k = centroids.len();
-        let Scatter {
-            sums: scatter,
-            counts,
-        } = scatter;
-        for row in scatter.iter_mut() {
-            row.fill(0.0);
-        }
-        counts.fill(0);
+        let Scatter { sums, counts } = scatter;
+        sums.clear();
+        sums.resize(centroids.len() * dims, 0.0);
 
         for (i, &c) in assignment.iter().enumerate() {
-            counts[c] += 1;
-            let row = data.row(i);
-            for d in 0..dims {
-                let diff = row[d] - centroids[c][d];
-                scatter[c][d] += diff * diff;
+            let sum = &mut sums[c * dims..][..dims];
+            for ((s, x), mu) in sum.iter_mut().zip(data.row(i)).zip(&centroids[c]) {
+                let diff = x - mu;
+                *s += diff * diff;
             }
         }
         // Violated must-links contribute half their scatter to both clusters.
         for &(a, b) in ml_pairs {
             let (ca, cb) = (assignment[a], assignment[b]);
             if ca != cb {
-                let (row_a, row_b) = (data.row(a), data.row(b));
-                for d in 0..dims {
-                    let diff = row_a[d] - row_b[d];
+                let (sum_a, sum_b) = two_rows_mut(sums, dims, ca, cb);
+                for (((sa, sb), x), y) in sum_a
+                    .iter_mut()
+                    .zip(sum_b.iter_mut())
+                    .zip(data.row(a))
+                    .zip(data.row(b))
+                {
+                    let diff = x - y;
                     let v = 0.5 * self.must_link_weight * diff * diff;
-                    scatter[ca][d] += v;
-                    scatter[cb][d] += v;
+                    *sa += v;
+                    *sb += v;
                 }
             }
         }
@@ -446,43 +512,48 @@ impl MpckMeans {
         for &(a, b) in cl_pairs {
             let (ca, cb) = (assignment[a], assignment[b]);
             if ca == cb {
-                let (row_a, row_b) = (data.row(a), data.row(b));
-                for d in 0..dims {
-                    let diff = row_a[d] - row_b[d];
-                    let range = maxs[d] - mins[d];
-                    let v = self.cannot_link_weight * (range * range - diff * diff).max(0.0);
-                    scatter[ca][d] += v;
+                let sum = &mut sums[ca * dims..][..dims];
+                for (((s, x), y), range_sq) in sum
+                    .iter_mut()
+                    .zip(data.row(a))
+                    .zip(data.row(b))
+                    .zip(ranges_sq)
+                {
+                    let diff = x - y;
+                    *s += self.cannot_link_weight * (range_sq - diff * diff).max(0.0);
                 }
             }
         }
 
-        for c in 0..k {
-            if counts[c] == 0 {
+        for (c, (weights, &count)) in metrics.iter_mut().zip(counts.iter()).enumerate() {
+            if count == 0 {
                 continue;
             }
-            for d in 0..dims {
-                let denom = scatter[c][d].max(1e-12);
-                metrics[c][d] = (counts[c] as f64 / denom).clamp(self.min_weight, self.max_weight);
+            for (w, s) in weights.iter_mut().zip(&sums[c * dims..][..dims]) {
+                *w = (count as f64 / s.max(1e-12)).clamp(self.min_weight, self.max_weight);
             }
         }
     }
 
     /// Evaluates the full MPCKMeans objective for a given state, reading
-    /// each cluster's log-determinant and diameter from `terms`.
+    /// each object's centroid distance from `tile` (the centroid tile of
+    /// the same centroids and metrics) and each cluster's log-determinant
+    /// and diameter from `terms`.
     #[allow(clippy::too_many_arguments)]
     fn objective(
         &self,
         data: &DataMatrix,
         assignment: &[usize],
-        centroids: &[Vec<f64>],
+        tile: &[f64],
         metrics: &[Vec<f64>],
         terms: &ClusterTerms,
         ml_pairs: &[(usize, usize)],
         cl_pairs: &[(usize, usize)],
     ) -> f64 {
+        let k = metrics.len();
         let mut obj = 0.0;
         for (i, &c) in assignment.iter().enumerate() {
-            obj += weighted_sq_dist(data.row(i), &centroids[c], &metrics[c]) - terms.log_det[c];
+            obj += tile[i * k + c] - terms.log_det[c];
         }
         for &(a, b) in ml_pairs {
             let (ca, cb) = (assignment[a], assignment[b]);
@@ -530,39 +601,72 @@ impl ClusterTerms {
 /// Working buffers of one fit, allocated once and reused by every
 /// iteration.
 struct FitBuffers {
+    /// The data in column-major panels, for the centroid tile.
+    point_panels: PointPanels,
+    /// The current metrics transposed, for the must-link distances.
+    metric_panels: MetricPanels,
+    /// Point-major `n × k` point-to-centroid distances under the current
+    /// centroids and metrics.
+    tile: Vec<f64>,
     /// The E-step's random visiting order.
     order: Vec<usize>,
     /// Clusters of the objects already visited in the current E-step.
     assigned: Vec<Option<usize>>,
     /// The assignment the current iteration produces.
     next: Vec<usize>,
-    /// `(neighbour, its cluster, f_there)` of the visited object's
-    /// already-assigned must-link neighbours.
-    ml_there: Vec<(usize, usize, f64)>,
-    /// The metric update's accumulators.
+    /// Clusters of the visited object's already-assigned must-link
+    /// neighbours.
+    ml: Vec<usize>,
+    /// Each of those neighbours' distances under every cluster's metric,
+    /// `k` per neighbour.
+    ml_dists: Vec<f64>,
+    /// `(cluster, distance)` of the visited object's already-assigned
+    /// cannot-link neighbours.
+    cl: Vec<(usize, f64)>,
+    /// The M-step's accumulators.
     scatter: Scatter,
 }
 
-/// Accumulators of the metric update, reset by every update.
+/// Accumulators of the M-step, reset by every update.
 struct Scatter {
-    /// Per-cluster, per-dimension scatter.
-    sums: Vec<Vec<f64>>,
+    /// Flat `k × dims` per-cluster sums: the centroid coordinate sums, then
+    /// the metric scatter.
+    sums: Vec<f64>,
     /// Per-cluster object counts.
     counts: Vec<usize>,
 }
 
 impl FitBuffers {
-    fn new(n: usize, k: usize, dims: usize) -> Self {
+    fn new(data: &DataMatrix, k: usize) -> Self {
+        let (n, dims) = (data.n_rows(), data.n_cols());
         Self {
+            point_panels: PointPanels::of(data),
+            metric_panels: MetricPanels::new(k, dims),
+            tile: vec![0.0; n * k],
             order: vec![0; n],
             assigned: vec![None; n],
             next: vec![0; n],
-            ml_there: Vec::new(),
+            ml: Vec::new(),
+            ml_dists: Vec::new(),
+            cl: Vec::new(),
             scatter: Scatter {
-                sums: vec![vec![0.0; dims]; k],
-                counts: vec![0; k],
+                sums: Vec::new(),
+                counts: Vec::new(),
             },
         }
+    }
+}
+
+/// Disjoint mutable rows `a` and `b` (`a ≠ b`) of a flat matrix with `dims`
+/// columns.
+fn two_rows_mut(flat: &mut [f64], dims: usize, a: usize, b: usize) -> (&mut [f64], &mut [f64]) {
+    debug_assert_ne!(a, b);
+    if a < b {
+        let (low, high) = flat.split_at_mut(b * dims);
+        (&mut low[a * dims..][..dims], &mut high[..dims])
+    } else {
+        let (low, high) = flat.split_at_mut(a * dims);
+        (&mut high[..dims], &mut low[b * dims..][..dims])
     }
 }
 
@@ -610,14 +714,15 @@ mod tests {
     }
 
     proptest! {
-        /// The hoisted fit (per-cluster terms once per iteration, reused
-        /// buffers, borrowed seeding candidates) equals the literal
+        /// The hoisted, bulk-distance fit (per-cluster terms once per
+        /// iteration, the centroid tile, blocked constraint distances,
+        /// reused buffers, borrowed seeding candidates) equals the literal
         /// reference bit for bit on random data, cluster counts, must-link
         /// and cannot-link sets, weights, closure and metric-learning
         /// settings.
         #[test]
         fn fit_seeded_matches_the_reference_bit_for_bit(
-            (n, dims, k_draw) in (4usize..40, 1usize..5, 0usize..64),
+            (n, dims, k_draw) in (4usize..40, 1usize..25, 0usize..64),
             (n_ml, n_cl) in (0usize..40, 0usize..40),
             (flags, seed) in (0usize..16, 0u64..1_000_000),
         ) {
@@ -655,6 +760,24 @@ mod tests {
             let fast = config.fit_seeded(&data, &seeding, &mut SeededRng::new(seed ^ 0x5EED));
             let reference =
                 config.fit_reference(&data, &seeding, &mut SeededRng::new(seed ^ 0x5EED));
+            assert_bit_identical(&fast, &reference);
+        }
+    }
+
+    /// The oracle comparison at the paper's shape: an ALOI replica
+    /// (125 × 144, five classes), constraints from a 20% label sample,
+    /// closure and metric learning on, over the whole default `k` range.
+    #[test]
+    fn fit_seeded_matches_the_reference_on_an_aloi_replica() {
+        let ds = cvcp_data::aloi::aloi_k5_dataset(20140324, 0);
+        assert_eq!((ds.matrix().n_rows(), ds.matrix().n_cols()), (125, 144));
+        let pool = constraint_pool(ds.labels(), 0.2, 2, &mut SeededRng::new(5));
+        let seeding = MpckSeeding::compute(ds.matrix(), &pool, true);
+        for k in 2..=10 {
+            let config = MpckMeans::new(k);
+            let fast = config.fit_seeded(ds.matrix(), &seeding, &mut SeededRng::new(k as u64));
+            let reference =
+                config.fit_reference(ds.matrix(), &seeding, &mut SeededRng::new(k as u64));
             assert_bit_identical(&fast, &reference);
         }
     }

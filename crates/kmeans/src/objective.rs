@@ -26,20 +26,41 @@ pub fn centroid_of(data: &DataMatrix, members: &[usize]) -> Vec<f64> {
 /// Recomputes all `k` centroids from an assignment vector.  Clusters with no
 /// members keep their previous centroid.
 pub fn recompute_centroids(data: &DataMatrix, assignment: &[usize], centroids: &mut [Vec<f64>]) {
-    let k = centroids.len();
+    recompute_centroids_with(
+        data,
+        assignment,
+        centroids,
+        &mut Vec::new(),
+        &mut Vec::new(),
+    );
+}
+
+/// [`recompute_centroids`] accumulating into caller-owned buffers, so an
+/// iterative fit allocates them once: `sums` becomes the flat `k × dims`
+/// per-cluster coordinate sums and `counts` the cluster sizes, which the
+/// caller may read afterwards.
+pub fn recompute_centroids_with(
+    data: &DataMatrix,
+    assignment: &[usize],
+    centroids: &mut [Vec<f64>],
+    sums: &mut Vec<f64>,
+    counts: &mut Vec<usize>,
+) {
     let dims = data.n_cols();
-    let mut sums = vec![vec![0.0; dims]; k];
-    let mut counts = vec![0usize; k];
+    sums.clear();
+    sums.resize(centroids.len() * dims, 0.0);
+    counts.clear();
+    counts.resize(centroids.len(), 0);
     for (i, &c) in assignment.iter().enumerate() {
         counts[c] += 1;
-        for (j, v) in data.row(i).iter().enumerate() {
-            sums[c][j] += v;
+        for (sum, v) in sums[c * dims..][..dims].iter_mut().zip(data.row(i)) {
+            *sum += v;
         }
     }
-    for c in 0..k {
-        if counts[c] > 0 {
-            for j in 0..dims {
-                centroids[c][j] = sums[c][j] / counts[c] as f64;
+    for (c, (centroid, &count)) in centroids.iter_mut().zip(counts.iter()).enumerate() {
+        if count > 0 {
+            for (x, sum) in centroid.iter_mut().zip(&sums[c * dims..][..dims]) {
+                *x = sum / count as f64;
             }
         }
     }
@@ -109,6 +130,48 @@ mod tests {
         assert_eq!(centroids[1], vec![11.0, 10.0]);
         // cluster 2 had no members: unchanged
         assert_eq!(centroids[2], vec![-1.0, -1.0]);
+    }
+
+    #[test]
+    fn reused_buffers_reproduce_nested_sums_bit_for_bit() {
+        // The literal nested formulation the flat accumulation replaced.
+        let literal = |data: &DataMatrix, assignment: &[usize], centroids: &mut [Vec<f64>]| {
+            let mut sums = vec![vec![0.0; data.n_cols()]; centroids.len()];
+            let mut counts = vec![0usize; centroids.len()];
+            for (i, &c) in assignment.iter().enumerate() {
+                counts[c] += 1;
+                for (j, v) in data.row(i).iter().enumerate() {
+                    sums[c][j] += v;
+                }
+            }
+            for c in 0..centroids.len() {
+                if counts[c] > 0 {
+                    for j in 0..data.n_cols() {
+                        centroids[c][j] = sums[c][j] / counts[c] as f64;
+                    }
+                }
+            }
+        };
+        let mut rng = cvcp_data::rng::SeededRng::new(12);
+        let (mut sums, mut counts) = (Vec::new(), Vec::new());
+        for (n, dims, k) in [(0, 3, 2), (7, 0, 3), (13, 5, 4), (40, 17, 6)] {
+            let flat = (0..n * dims).map(|_| rng.uniform_in(-5.0, 5.0)).collect();
+            let d = DataMatrix::from_flat(flat, n, dims);
+            let assignment: Vec<usize> = (0..n).map(|_| rng.index(k)).collect();
+            let start: Vec<Vec<f64>> = (0..k).map(|c| vec![c as f64; dims]).collect();
+            let (mut fast, mut slow) = (start.clone(), start);
+            recompute_centroids_with(&d, &assignment, &mut fast, &mut sums, &mut counts);
+            literal(&d, &assignment, &mut slow);
+            let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+                rows.iter()
+                    .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(bits(&fast), bits(&slow));
+            for (c, &count) in counts.iter().enumerate() {
+                assert_eq!(count, assignment.iter().filter(|&&a| a == c).count());
+            }
+        }
     }
 
     #[test]
